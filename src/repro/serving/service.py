@@ -15,6 +15,12 @@
   result); a delete invalidates iff the deleted rid occurs in the cached
   result.  Re-canonicalization never invalidates — it is a physical
   rebuild of an exact index, so answers are unchanged by construction.
+  Two posting maps over the cache keys make a mutation cost
+  O(affected entries), not O(cache): a *prefix map* lists each cached
+  query under its canonical prefix for ``theta_max`` (an insert probes
+  it with the new ranking's prefix — the prefix filter's asymmetric
+  argument, so no affected entry is missed), and a *result map* lists
+  it under every rid of its result (a delete reads one posting).
 * **metrics + tracing** — per-request latencies, QPS, cache hit rate and
   batching factor in :class:`ServiceMetrics`; each flushed batch runs
   under a ``Tracer`` span of kind ``"request_batch"`` when a tracer is
@@ -29,12 +35,25 @@ zero under arbitrary interleavings.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from time import perf_counter
 
-from ..rankings.bounds import raw_threshold
+from ..rankings.bounds import (
+    admits_disjoint_pairs,
+    overlap_prefix_size,
+    raw_threshold,
+)
 from ..rankings.distances import footrule
+from ..rankings.ordering import frequency_order_key
 from ..rankings.ranking import Ranking
+
+#: Longest TCP request line (bytes) the line protocol reads.
+MAX_REQUEST_BYTES = 1 << 16
+#: Seconds a connection that sent an oversized line is given to finish
+#: sending before it is closed.
+DISCARD_SECONDS = 1.0
 
 
 @dataclass
@@ -50,6 +69,11 @@ class ServiceMetrics:
     inserts: int = 0
     deletes: int = 0
     invalidations: int = 0
+    #: Cache entries invalidation examined: for an insert the prefix-map
+    #: hits given the exact distance test, for a delete the result-map
+    #: posting of the deleted rid.
+    invalidation_candidates: int = 0
+    invalidation_seconds: float = 0.0
     recanonicalizations: int = 0
     stale_hits: int = 0
     latencies: list = field(default_factory=list)
@@ -84,6 +108,8 @@ class ServiceMetrics:
             "inserts": self.inserts,
             "deletes": self.deletes,
             "invalidations": self.invalidations,
+            "invalidation_candidates": self.invalidation_candidates,
+            "invalidation_seconds": self.invalidation_seconds,
             "recanonicalizations": self.recanonicalizations,
             "stale_hits": self.stale_hits,
             "p50_latency_s": self.latency_quantile(0.50),
@@ -101,7 +127,9 @@ class SearchService:
     ----------
     index:
         The data plane — anything with ``query_batch``, ``insert``,
-        ``delete``, ``k``, and (for :meth:`recanonicalize`) the
+        ``delete``, ``k``, ``theta_max``, ``frozen_frequencies`` (a
+        frequency table the index never mutates), and (for
+        :meth:`recanonicalize`) the
         :class:`~repro.serving.sharded.ShardedIndex` rebuild surface.
     cache_size:
         LRU capacity in cached query results (0 disables caching).
@@ -134,15 +162,25 @@ class SearchService:
         self.tracer = tracer
         self.revalidate_cache = revalidate_cache
         self.metrics = ServiceMetrics()
-        #: key -> (pairs, result rid frozenset, query ranking); key is
+        #: key -> (pairs, query ranking, prefix items); key is
         #: (rid, items, theta, include_self) so distinct payloads under a
         #: recycled rid can never alias.
         self._cache: OrderedDict = OrderedDict()
+        #: Posting maps over the cache keys, kept in step with ``_cache``
+        #: by :meth:`_cache_put` and :meth:`_uncache` alone: prefix item
+        #: -> keys, and result rid -> keys.
+        self._keys_by_item: dict = {}
+        self._keys_by_result: dict = {}
+        #: The prefix map's canonical order: the index's frequency table
+        #: as frozen when the service is built, held by reference (a
+        #: recanonicalization rebinds the index's table, never mutates
+        #: it).  Any fixed total order keeps invalidation exact.
+        self._order_key = frequency_order_key(index.frozen_frequencies)
         self._pending: list = []
         self._flusher: asyncio.Task | None = None
         #: bumped on every insert/delete; a result computed before a
         #: mutation must not enter the cache after it (the invalidation
-        #: scan has already run and would never see it).
+        #: has already run and would never see it).
         self._generation = 0
 
     # -------------------------------------------------------------- search
@@ -154,8 +192,11 @@ class SearchService:
 
         Returns ``(rid, raw_distance)`` pairs sorted by
         ``(distance, rid)`` — the serving-side result shape (rankings
-        themselves stay in the index).
+        themselves stay in the index).  A query of the wrong length or a
+        ``theta`` outside ``[0, theta_max]`` raises ``ValueError`` here,
+        before it could join (and fail) a batch of valid requests.
         """
+        self._check_request(query, theta)
         started = asyncio.get_event_loop().time()
         self.metrics.requests += 1
         key = (query.rid, query.items, theta, include_self)
@@ -174,17 +215,27 @@ class SearchService:
         self.metrics.cache_misses += 1
         generation = self._generation
         pairs = await self._enqueue(query, theta, include_self)
-        if self.cache_size > 0 and generation == self._generation:
-            self._cache[key] = (
-                pairs,
-                frozenset(rid for rid, _distance in pairs),
-                query,
-            )
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+        if (
+            self.cache_size > 0
+            and generation == self._generation
+            and self.index.k is not None
+        ):
+            self._cache_put(key, pairs, query)
         self._record_latency(started)
         return list(pairs)
+
+    def _check_request(self, query: Ranking, theta: float) -> None:
+        k = self.index.k
+        if k is not None and query.k != k:
+            raise ValueError(
+                f"query has length {query.k}, index holds top-{k} rankings"
+            )
+        theta_max = self.index.theta_max
+        if not (math.isfinite(theta) and 0.0 <= theta <= theta_max):
+            raise ValueError(
+                f"theta must be a finite number in [0, {theta_max}], "
+                f"got {theta}"
+            )
 
     def _record_latency(self, started: float) -> None:
         self.metrics.latencies.append(
@@ -254,23 +305,32 @@ class SearchService:
         A cached result for ``(q, theta)`` changes iff the new ranking
         belongs in it, i.e. ``footrule(q, new) <= theta_raw`` (with the
         ``include_self``/rid caveat for self-pairs) — so only those
-        entries are evicted.
+        entries are evicted.  Only entries sharing a prefix item with the
+        new ranking can qualify (every cached ``theta <= theta_max``), so
+        only those are tested; when ``theta_max`` admits item-disjoint
+        pairs every entry is a candidate.
         """
         await self._drain()
         self.index.insert(ranking)
         self._generation += 1
         self.metrics.inserts += 1
+        started = perf_counter()
         k = self.index.k
+        if admits_disjoint_pairs(raw_threshold(self.index.theta_max, k), k):
+            candidates = list(self._cache)
+        else:
+            candidates = set()
+            for item in self._cache_prefix(ranking):
+                candidates.update(self._keys_by_item.get(item, ()))
         stale = []
-        for key, (_pairs, _rids, query) in self._cache.items():
-            _rid, _items, theta, include_self = key
-            if not include_self and ranking.rid == query.rid:
+        for key in candidates:
+            rid, _items, theta, include_self = key
+            if not include_self and ranking.rid == rid:
                 continue
+            query = self._cache[key][1]
             if footrule(query, ranking) <= raw_threshold(theta, k):
                 stale.append(key)
-        for key in stale:
-            del self._cache[key]
-        self.metrics.invalidations += len(stale)
+        self._invalidate(stale, len(candidates), started)
 
     async def delete(self, rid) -> Ranking:
         """Drop a ranking; evict exactly the cached results that held it."""
@@ -278,15 +338,50 @@ class SearchService:
         ranking = self.index.delete(rid)
         self._generation += 1
         self.metrics.deletes += 1
-        stale = [
-            key
-            for key, (_pairs, rids, _query) in self._cache.items()
-            if rid in rids
-        ]
-        for key in stale:
-            del self._cache[key]
-        self.metrics.invalidations += len(stale)
+        started = perf_counter()
+        stale = list(self._keys_by_result.get(rid, ()))
+        self._invalidate(stale, len(stale), started)
         return ranking
+
+    def _invalidate(self, stale: list, candidates: int, started) -> None:
+        for key in stale:
+            self._uncache(key)
+        self.metrics.invalidations += len(stale)
+        self.metrics.invalidation_candidates += candidates
+        self.metrics.invalidation_seconds += perf_counter() - started
+
+    # ---------------------------------------------------------- cache maps
+
+    def _cache_prefix(self, ranking: Ranking) -> list:
+        """The items ``ranking`` is listed (or probes) under in the prefix
+        map: its first ``overlap_prefix_size(theta_max)`` items in the
+        frozen canonical order."""
+        k = self.index.k
+        size = overlap_prefix_size(raw_threshold(self.index.theta_max, k), k)
+        return sorted(ranking.items, key=self._order_key)[:size]
+
+    def _cache_put(self, key, pairs: list, query: Ranking) -> None:
+        """Cache one result (replacing any entry under ``key``), list it
+        in both posting maps, and evict beyond ``cache_size`` (LRU)."""
+        if key in self._cache:
+            self._uncache(key)
+        prefix = self._cache_prefix(query)
+        self._cache[key] = (pairs, query, prefix)
+        for item in prefix:
+            self._keys_by_item.setdefault(item, set()).add(key)
+        for rid, _distance in pairs:
+            self._keys_by_result.setdefault(rid, set()).add(key)
+        while len(self._cache) > self.cache_size:
+            self._uncache(next(iter(self._cache)))
+
+    def _uncache(self, key) -> None:
+        """Drop one cache entry and unlink it from both posting maps — the
+        one exit for eviction, invalidation and replacement alike."""
+        pairs, _query, prefix = self._cache.pop(key)
+        for item in prefix:
+            _unlist(self._keys_by_item, item, key)
+        for rid, _distance in pairs:
+            _unlist(self._keys_by_result, rid, key)
 
     async def recanonicalize(self) -> dict:
         """Rebuild the index's shards under a fresh frequency snapshot.
@@ -307,8 +402,7 @@ class SearchService:
 
         Queries queued before a mutation was requested are answered
         against the index state they observed; without the drain a
-        pending batch could run mid-mutation and race the invalidation
-        scan.
+        pending batch could run mid-mutation and race the invalidation.
         """
         while self._pending:
             flusher = self._flusher
@@ -329,6 +423,14 @@ class SearchService:
         return report
 
 
+def _unlist(postings: dict, token, key) -> None:
+    """Remove ``key`` from ``postings[token]``, dropping an emptied list."""
+    keys = postings[token]
+    keys.discard(key)
+    if not keys:
+        del postings[token]
+
+
 async def serve_tcp(service: SearchService, host: str, port: int):
     """Line-protocol TCP front end (the CLI ``serve`` command).
 
@@ -340,6 +442,10 @@ async def serve_tcp(service: SearchService, host: str, port: int):
     * ``{"op": "delete", "rid": 7}`` → ``{"ok": true}``
     * ``{"op": "stats"}`` → the metrics snapshot
 
+    A request that fails gets ``{"error": message}`` and the connection
+    stays open; a line longer than :data:`MAX_REQUEST_BYTES` gets an
+    error reply and the connection is closed.
+
     Returns the listening ``asyncio.Server`` (caller closes it).
     """
     import json
@@ -347,7 +453,21 @@ async def serve_tcp(service: SearchService, host: str, port: int):
     async def handle(reader, writer):
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line outgrew the reader's limit: answer, then
+                    # hang up once the peer stops sending, so the close
+                    # is a FIN and not a reset that could eat the reply.
+                    reply = {
+                        "error": f"request line longer than "
+                                 f"{MAX_REQUEST_BYTES} bytes"
+                    }
+                    writer.write((json.dumps(reply) + "\n").encode())
+                    await writer.drain()
+                    writer.write_eof()
+                    await _discard_input(reader, DISCARD_SECONDS)
+                    break
                 if not line:
                     break
                 try:
@@ -382,7 +502,21 @@ async def serve_tcp(service: SearchService, host: str, port: int):
                     reply = {"error": str(error)}
                 writer.write((json.dumps(reply) + "\n").encode())
                 await writer.drain()
+        except ConnectionError:
+            pass  # the peer reset or went away mid-exchange: a disconnect
         finally:
             writer.close()
 
-    return await asyncio.start_server(handle, host, port)
+    return await asyncio.start_server(
+        handle, host, port, limit=MAX_REQUEST_BYTES
+    )
+
+
+async def _discard_input(reader, seconds: float) -> None:
+    """Read and drop input until EOF or for at most ``seconds``."""
+    try:
+        async with asyncio.timeout(seconds):
+            while await reader.read(MAX_REQUEST_BYTES):
+                pass
+    except TimeoutError:
+        pass

@@ -143,6 +143,16 @@ class ShardedIndex:
     def __contains__(self, rid) -> bool:
         return rid in self._shards[self.shard_of(rid)]
 
+    @property
+    def frozen_frequencies(self) -> dict:
+        """The frequency table behind the current canonical order.
+
+        Read-only by contract: a recanonicalization binds a new table and
+        never mutates this one, so a caller may hold it by reference as a
+        fixed total order (the service's cache invalidation does).
+        """
+        return self._frozen_frequencies
+
     def rankings(self) -> list:
         """Every indexed ranking (shard-major, insertion order within)."""
         collected: list = []

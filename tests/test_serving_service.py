@@ -98,6 +98,44 @@ class TestBatching:
         assert (rankings[0].rid, 0) not in wide
         assert service.metrics.batches == 1
 
+    @pytest.mark.parametrize(
+        "theta", [float("nan"), float("inf"), -0.1, 0.31]
+    )
+    def test_bad_theta_fails_alone(self, theta):
+        rankings = _make_rankings(50)
+        service = SearchService(_index(rankings), cache_size=0)
+
+        async def scenario():
+            return await asyncio.gather(
+                service.search(rankings[0], THETA),
+                service.search(rankings[1], theta),
+                return_exceptions=True,
+            )
+
+        good, bad = run(scenario)
+        assert isinstance(good, list)
+        assert isinstance(bad, ValueError)
+        assert "theta" in str(bad)
+
+    def test_wrong_length_query_fails_alone(self):
+        """One malformed request does not fail the batch it lands in."""
+        rankings = _make_rankings(50)
+        index = _index(rankings)
+        service = SearchService(index)
+
+        async def scenario():
+            return await asyncio.gather(
+                service.search(rankings[0], THETA),
+                service.search(Ranking(-1, (1, 2, 3)), THETA),
+                return_exceptions=True,
+            )
+
+        good, bad = run(scenario)
+        assert good == [(r.rid, d) for r, d in index.query(rankings[0], THETA)]
+        assert isinstance(bad, ValueError)
+        assert "length 3" in str(bad)
+        assert service.cache_len() == 1
+
     def test_tracer_records_request_batch_spans(self):
         rankings = _make_rankings(40)
         tracer = Tracer()
@@ -316,3 +354,77 @@ class TestTcpServer:
             await server.wait_closed()
 
         run(scenario)
+
+
+class TestTcpRobustness:
+    """A bad peer ends its own connection only; the server keeps serving."""
+
+    def _serve(self, scenario):
+        import json
+
+        from repro.serving import serve_tcp
+
+        rankings = _make_rankings(30, seed=21)
+        service = SearchService(_index(rankings))
+        query_line = (json.dumps(
+            {"op": "query", "items": list(rankings[0].items),
+             "theta": THETA, "include_self": True}
+        ) + "\n").encode()
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                await scenario(port, query_line)
+                # Let every connection handler finish before judging.
+                async with asyncio.timeout(5):
+                    while len(asyncio.all_tasks()) > 1:
+                        await asyncio.sleep(0.01)
+                # A fresh connection is still answered.
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(query_line)
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                assert [rankings[0].rid, 0] in reply["results"]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+            assert errors == []
+
+        run(main)
+
+    def test_oversized_line_gets_error_reply_and_clean_close(self):
+        import json
+
+        from repro.serving.service import MAX_REQUEST_BYTES
+
+        async def scenario(port, _query_line):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "query", "items": [' + b"1, " * 47_000
+                         + b'1], "theta": 0.1}\n')
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert str(MAX_REQUEST_BYTES) in reply["error"]
+            assert await reader.read() == b""  # FIN, not a reset
+            writer.close()
+            await writer.wait_closed()
+
+        self._serve(scenario)
+
+    def test_peer_reset_mid_exchange_is_a_normal_disconnect(self):
+        async def scenario(port, query_line):
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+            writer.write(query_line * 50)
+            await writer.drain()
+            writer.transport.abort()  # RST while replies are in flight
+
+        self._serve(scenario)
